@@ -9,11 +9,13 @@ the columnar store ingests the entire batch through one staged-batch
 merge (``append_bulk``).  This benchmark pins the claim on a 10k-record
 power-law dataset:
 
-* **per-record build** — ``GBKMVIndex.build(method="per-record")``, the
-  historical path kept verbatim as the baseline;
+* **per-record build** — :func:`_util.per_record_build`, a frozen
+  comparator that plans from a ``Counter`` and then grows a
+  pinned-parameter index with one ``insert`` per record;
 * **bulk build** — ``GBKMVIndex.build()`` (the default), the vectorised
   pipeline;
-* the same pair for the plain-KMV baseline builder; and
+* the same pair for the plain-KMV baseline builder
+  (:func:`_util.per_record_kmv_build`); and
 * **looped insert vs insert_many** on a 2k-record ingest stream against
   an existing warm index (both paths charged through to a finalized
   store, since looped inserts defer the join-index merge to the next
@@ -41,7 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
-from _util import bench_num_queries, bench_scale, write_report
+from _util import (
+    bench_num_queries,
+    bench_scale,
+    per_record_build,
+    per_record_kmv_build,
+    write_report,
+)
 
 from repro.baselines import KMVSearchIndex
 from repro.core import GBKMVIndex
@@ -106,9 +114,7 @@ def _run() -> dict[str, object]:
 
     # --- whole-dataset construction ---------------------------------------
     per_record_index, per_record_seconds = _best_of(
-        lambda: GBKMVIndex.build(
-            records, space_fraction=SPACE_FRACTION, method="per-record"
-        )
+        lambda: per_record_build(records, space_fraction=SPACE_FRACTION)
     )
     bulk_index, bulk_seconds = _best_of(
         lambda: GBKMVIndex.build(records, space_fraction=SPACE_FRACTION)
@@ -126,9 +132,7 @@ def _run() -> dict[str, object]:
 
     # --- KMV baseline construction ----------------------------------------
     kmv_per_record, kmv_per_record_seconds = _best_of(
-        lambda: KMVSearchIndex.build(
-            records, space_fraction=SPACE_FRACTION, method="per-record"
-        )
+        lambda: per_record_kmv_build(records, space_fraction=SPACE_FRACTION)
     )
     kmv_bulk, kmv_bulk_seconds = _best_of(
         lambda: KMVSearchIndex.build(records, space_fraction=SPACE_FRACTION)

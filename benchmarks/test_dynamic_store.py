@@ -1,13 +1,10 @@
 """Micro-benchmark — segmented dynamic store vs rebuilding on every batch.
 
-The segmented-store PR claims that a GB-KMV index can absorb an
-insert-heavy stream incrementally: inserts land in a mutable tail
-segment and the value→record join index is maintained with a sorted
-two-run merge (``O(T + S log S)`` for ``S`` staged values over ``T``
-stored ones) instead of either re-sorting everything on each
-search-after-insert (the pre-segmented behaviour) or rebuilding the
-index from scratch on every batch (what a build-once reproduction must
-do).  This benchmark pins that claim on a 10k-record power-law dataset
+A GB-KMV index absorbs an insert-heavy stream incrementally: inserts
+land in a mutable tail segment and the value→record join index is
+maintained with a sorted two-run merge (``O(T + S log S)`` for ``S``
+staged values over ``T`` stored ones) instead of rebuilding the index
+from scratch on every batch (what a build-once reproduction must do).  This benchmark pins that claim on a 10k-record power-law dataset
 driven through an insert-heavy stream of interleaved batch-inserts and
 searches:
 
@@ -15,9 +12,6 @@ searches:
   :meth:`GBKMVIndex.insert_many` (the batched-ingest path of the bulk
   construction pipeline), tail merged into the sealed segment at each
   search;
-* **invalidation re-sort** — the same stream on a store with
-  ``incremental_merge`` disabled, so every search after an insert pays
-  the full ``O(T log T)`` join-index rebuild (the seed behaviour);
 * **rebuild from scratch** — :meth:`GBKMVIndex.from_parameters` over the
   accumulated records at every checkpoint, the only option an index
   without dynamic maintenance offers.  The rebuild runs through the
@@ -26,7 +20,7 @@ searches:
 
 Asserted invariants:
 
-* all three paths return **identical** hits at every checkpoint, and the
+* both paths return **identical** hits at every checkpoint, and the
   final incremental index answers exactly like a freshly built index
   over the full dataset — dynamic maintenance is free of drift;
 * the incremental path beats rebuild-from-scratch by at least **3×**
@@ -131,13 +125,6 @@ def _run(tmp_path: Path) -> dict[str, object]:
         incremental_index, batches, queries
     )
 
-    # Invalidation re-sort (the pre-segmented behaviour, kept as a mode).
-    resort_index = _pinned_index(built, base)
-    resort_index.store.incremental_merge = False
-    resort_checkpoints, resort_seconds = _drive_maintained(
-        resort_index, batches, queries
-    )
-
     # Rebuild from scratch at every checkpoint.
     rebuild_checkpoints = []
     accumulated = list(base)
@@ -149,9 +136,6 @@ def _run(tmp_path: Path) -> dict[str, object]:
     rebuild_seconds = time.perf_counter() - start
 
     # --- identity checks --------------------------------------------------
-    assert incremental_checkpoints == resort_checkpoints, (
-        "incremental merge drifted from the full re-sort path"
-    )
     assert incremental_checkpoints == rebuild_checkpoints, (
         "incremental maintenance drifted from rebuild-from-scratch"
     )
@@ -175,32 +159,19 @@ def _run(tmp_path: Path) -> dict[str, object]:
     assert roundtrip_identical, "save → load changed search_many output"
 
     speedup_vs_rebuild = rebuild_seconds / incremental_seconds
-    speedup_vs_resort = resort_seconds / incremental_seconds
     assert speedup_vs_rebuild >= 3.0, (
         f"incremental merge is only {speedup_vs_rebuild:.1f}x rebuild-from-scratch"
     )
 
     # --- fine-grained alternation: one insert, one search, repeat ---------
-    # Batch streams amortise the derived-cache rebuild over many inserts;
-    # a service interleaving single writes with reads cannot.  Here the
-    # re-sort mode pays the full O(T log T) join-index rebuild on every
-    # cycle while the segmented store pays one two-run merge of a single
-    # staged row — the regime the tentpole optimisation targets.
-    alternation = {}
-    for mode, merge in (("incremental_merge", True), ("invalidation_resort", False)):
-        index = incremental_index if merge else resort_index
-        index.store.incremental_merge = merge
-        hits = []
-        start = time.perf_counter()
-        for record in alternation_pool:
-            index.insert(record)
-            hits.append(_flatten([index.search(record, THRESHOLD)]))
-        alternation[mode] = time.perf_counter() - start
-        if merge:
-            alternation_hits = hits
-        else:
-            assert hits == alternation_hits, "alternation results drifted between modes"
-    alternation_speedup = alternation["invalidation_resort"] / alternation["incremental_merge"]
+    # Batch streams amortise cache maintenance over many inserts; a
+    # service interleaving single writes with reads cannot.  Every cycle
+    # pays one two-run merge of a single staged row.
+    start = time.perf_counter()
+    for record in alternation_pool:
+        incremental_index.insert(record)
+        incremental_index.search(record, THRESHOLD)
+    alternation_seconds = time.perf_counter() - start
 
     # --- mixed stream through the evaluation path -------------------------
     mixed_records = base[: max(num_records // 5, 500)]
@@ -240,18 +211,14 @@ def _run(tmp_path: Path) -> dict[str, object]:
         },
         "seconds": {
             "incremental_merge": round(incremental_seconds, 4),
-            "invalidation_resort": round(resort_seconds, 4),
             "rebuild_from_scratch": round(rebuild_seconds, 4),
         },
         "speedup": {
             "incremental_vs_rebuild": round(speedup_vs_rebuild, 1),
-            "incremental_vs_resort": round(speedup_vs_resort, 1),
         },
         "single_insert_search_alternation": {
             "num_cycles": len(alternation_pool),
-            "incremental_merge_seconds": round(alternation["incremental_merge"], 4),
-            "invalidation_resort_seconds": round(alternation["invalidation_resort"], 4),
-            "incremental_vs_resort": round(alternation_speedup, 1),
+            "incremental_merge_seconds": round(alternation_seconds, 4),
         },
         "identical_results": bool(identical_results),
         "save_load_roundtrip_identical": bool(roundtrip_identical),
@@ -284,12 +251,6 @@ def test_dynamic_store_speedup(run_once, tmp_path):
                 seconds["incremental_merge"],
                 alternation["incremental_merge_seconds"],
                 1.0,
-            ],
-            [
-                "invalidation re-sort",
-                seconds["invalidation_resort"],
-                alternation["invalidation_resort_seconds"],
-                alternation["incremental_vs_resort"],
             ],
             [
                 "rebuild from scratch",

@@ -57,9 +57,6 @@ class GBKMVConfig(IndexConfig):
         cost model's pair sampling.
     cost_model_pair_sample:
         Number of record pairs the cost model averages over.
-    method:
-        ``"bulk"`` (vectorised whole-dataset pipeline) or
-        ``"per-record"`` (historical loop, benchmark baseline).
     """
 
     space_fraction: float = 0.10
@@ -67,7 +64,6 @@ class GBKMVConfig(IndexConfig):
     buffer_size: int | str = "auto"
     seed: int = 0
     cost_model_pair_sample: int = 256
-    method: str = "bulk"
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,6 @@ class KMVConfig(IndexConfig):
     space_fraction: float = 0.10
     space_budget: float | None = None
     seed: int = 0
-    method: str = "bulk"
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,6 @@ class GKMVConfig(IndexConfig):
     space_fraction: float = 0.10
     space_budget: float | None = None
     seed: int = 0
-    method: str = "bulk"
 
 
 @dataclass(frozen=True)
@@ -197,11 +191,7 @@ class ShardedConfig(IndexConfig):
         sketching); ``None`` sizes it like ``max_workers``.  An explicit
         value below ``num_shards`` acts as an oversubscription guard.
         Only the native sketch backends (gbkmv/gkmv/kmv) build in
-        parallel.
-    build_executor:
-        ``"thread"`` (default — the sketch kernels release the GIL) or
-        ``"process"`` to run the pickle-friendly array stages of the
-        build on a process pool.
+        parallel, on threads (the sketch kernels release the GIL).
     """
 
     num_shards: int = 4
@@ -209,4 +199,3 @@ class ShardedConfig(IndexConfig):
     inner_config: IndexConfig | None = None
     max_workers: int | None = None
     build_workers: int | None = None
-    build_executor: str = "thread"

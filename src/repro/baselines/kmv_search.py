@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro._errors import ConfigurationError, EmptyDatasetError, SnapshotFormatError
+from repro._errors import ConfigurationError, SnapshotFormatError
 from repro.api.config import GKMVConfig, KMVConfig
 from repro.api.interface import Capabilities, SimilarityIndex
 from repro.api.registry import snapshot_tag
@@ -96,47 +96,23 @@ class KMVSearchIndex(SimilarityIndex):
         space_budget: float | None = None,
         hasher: UnitHash | None = None,
         seed: int = 0,
-        method: str = "bulk",
     ) -> "KMVSearchIndex":
         """Build the index with the Theorem-1 equal allocation ``k = ⌊b / m⌋``.
 
-        ``method="bulk"`` (default) hashes the whole dataset in one
-        vectorised pass and selects every record's ``k`` smallest values
-        with a global lexsort (:func:`repro.core.bulk.bulk_kmv_value_rows`);
-        ``"per-record"`` is the historical record-at-a-time loop, kept as
-        the benchmark baseline.  Both produce identical sketches.
+        The whole dataset is hashed in one vectorised pass and every
+        record's ``k`` smallest values are selected with a global lexsort
+        (:func:`repro.core.bulk.bulk_kmv_value_rows`) — the same values
+        :meth:`~repro.core.kmv.KMVSketch.from_record` keeps per record.
         """
-        if method not in ("bulk", "per-record"):
-            raise ConfigurationError(
-                f"unknown construction method {method!r}; use 'bulk' or 'per-record'"
-            )
         if hasher is None:
             hasher = UnitHash(seed=seed)
-        if method == "bulk":
-            flat = flatten_records(records)
-            budget = resolve_space_budget(
-                flat.total_elements, space_fraction, space_budget
-            )
-            k = max(int(budget // flat.num_records), 1)
-            index = cls(hasher=hasher, k_per_record=k, budget=budget)
-            index._extend_rows(
-                bulk_kmv_value_rows(flat, hasher, k), flat.record_sizes.tolist()
-            )
-            return index
-        materialized = [set(record) for record in records]
-        if not materialized:
-            raise EmptyDatasetError("cannot build an index over an empty dataset")
-        if any(len(record) == 0 for record in materialized):
-            raise ConfigurationError("records must be non-empty sets of elements")
-        total_elements = sum(len(record) for record in materialized)
-        budget = resolve_space_budget(
-            total_elements, space_fraction, space_budget
-        )
-        k = max(int(budget // len(materialized)), 1)
-
+        flat = flatten_records(records)
+        budget = resolve_space_budget(flat.total_elements, space_fraction, space_budget)
+        k = max(int(budget // flat.num_records), 1)
         index = cls(hasher=hasher, k_per_record=k, budget=budget)
-        for record in materialized:
-            index._add_record(record)
+        index._extend_rows(
+            bulk_kmv_value_rows(flat, hasher, k), flat.record_sizes.tolist()
+        )
         return index
 
     @classmethod
@@ -152,7 +128,6 @@ class KMVSearchIndex(SimilarityIndex):
             space_fraction=config.space_fraction,
             space_budget=config.space_budget,
             seed=config.seed,
-            method=config.method,
         )
 
     def _extend_rows(
@@ -537,7 +512,6 @@ class GKMVSearchIndex(SimilarityIndex):
         space_budget: float | None = None,
         hasher: UnitHash | None = None,
         seed: int = 0,
-        method: str = "bulk",
     ) -> "GKMVSearchIndex":
         """Build G-KMV sketches under the given budget (no frequent-element buffer)."""
         inner = GBKMVIndex.build(
@@ -547,7 +521,6 @@ class GKMVSearchIndex(SimilarityIndex):
             buffer_size=0,
             hasher=hasher,
             seed=seed,
-            method=method,
         )
         return cls(inner)
 
@@ -564,7 +537,6 @@ class GKMVSearchIndex(SimilarityIndex):
             space_fraction=config.space_fraction,
             space_budget=config.space_budget,
             seed=config.seed,
-            method=config.method,
         )
 
     @property
@@ -666,7 +638,6 @@ class GKMVSearchIndex(SimilarityIndex):
         threshold: float,
         query_sizes: Sequence[int] | None = None,
         row_block_size: int | None = None,
-        kernels: str = "fused",
     ) -> list[list[SearchResult]]:
         """Batched containment search through the inner fused GB-KMV engine."""
         return self._inner.search_many(
@@ -674,7 +645,6 @@ class GKMVSearchIndex(SimilarityIndex):
             threshold,
             query_sizes=query_sizes,
             row_block_size=row_block_size,
-            kernels=kernels,
         )
 
     def top_k(

@@ -35,8 +35,9 @@ passes:
   hashes are selected with one global lexsort + segment-boundary
   reduction — no per-record ``np.unique``.
 
-The pipeline is *bitwise identical* to the per-record path (same sets,
-same hashes, same dedup, same packing) under the paper's standing
+The pipeline is *bitwise identical* to sketching each record on its own
+with :meth:`~repro.core.gbkmv.GBKMVSketch.from_record` (same sets, same
+hashes, same dedup, same packing) under the paper's standing
 assumption that fingerprints are collision-free.  Where a collision
 between *distinct* elements (e.g. ``"a"`` and ``b"a"``, which share an
 FNV fold by construction) would break that identity:
@@ -50,9 +51,12 @@ FNV fold by construction) would break that identity:
   select a different vocabulary than the ``Counter`` path would.
   Detecting that case would require comparing elements across every
   occurrence of a hot fingerprint — the Python-level pass this module
-  exists to remove — so it is documented as out of contract instead;
-  ``method="per-record"`` remains available for data that mixes
-  equal-content ``str`` and ``bytes`` elements.
+  exists to remove — so it is documented as out of contract instead.
+  Data that mixes equal-content ``str`` and ``bytes`` elements can plan
+  from a ``Counter`` (``FrequentElementVocabulary.from_frequencies`` and
+  :func:`~repro.core.cost_model.residual_threshold`) and ingest record
+  by record with :meth:`~repro.core.index.GBKMVIndex.insert`, which
+  splits every record exactly.
 """
 
 from __future__ import annotations

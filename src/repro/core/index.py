@@ -43,14 +43,13 @@ from __future__ import annotations
 import base64
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro._errors import ConfigurationError, EmptyDatasetError, SnapshotFormatError
+from repro._errors import ConfigurationError, SnapshotFormatError
 from repro.api.config import GBKMVConfig
 from repro.api.interface import Capabilities, SimilarityIndex
 from repro.api.registry import (
@@ -78,7 +77,6 @@ from repro.core.bulk import (
 )
 from repro.core.cost_model import (
     choose_buffer_size,
-    residual_threshold,
     residual_threshold_from_hashes,
 )
 from repro.core.gbkmv import GBKMVSketch
@@ -93,8 +91,8 @@ class IndexStatistics:
     """Summary of a built index, used by the space/time benchmarks.
 
     ``build_profile`` is the per-stage wall-clock breakdown of the build
-    that produced the index (``None`` for indexes built per-record,
-    loaded from a snapshot, or grown purely through inserts).
+    that produced the index (``None`` for indexes loaded from a
+    snapshot or grown purely through inserts).
     """
 
     num_records: int
@@ -188,8 +186,8 @@ def _assemble_workload_results(
 
     Chunks arrive in ascending physical-row order (the block sweep), so a
     stable grouping sort keeps each query's hits row-ordered — exactly
-    the order the dense engine feeds :func:`_sorted_hits`, making the
-    final per-query orderings identical.
+    the order single-query :func:`results_from_scores` feeds
+    :func:`_sorted_hits`, making the final per-query orderings identical.
     """
     if not query_chunks:
         return [[] for _ in range(num_queries)]
@@ -339,13 +337,6 @@ class GBKMVIndex(SimilarityIndex):
         self.last_build_profile: BuildProfile | None = None
 
     # ------------------------------------------------------------------ build
-    @staticmethod
-    def _check_build_method(method: str) -> None:
-        if method not in ("bulk", "per-record"):
-            raise ConfigurationError(
-                f"unknown construction method {method!r}; use 'bulk' or 'per-record'"
-            )
-
     @classmethod
     def build(
         cls,
@@ -356,7 +347,6 @@ class GBKMVIndex(SimilarityIndex):
         hasher: UnitHash | None = None,
         seed: int = 0,
         cost_model_pair_sample: int = 256,
-        method: str = "bulk",
     ) -> "GBKMVIndex":
         """Algorithm 1: construct the GB-KMV index of a dataset.
 
@@ -380,25 +370,13 @@ class GBKMVIndex(SimilarityIndex):
             Seed for the default hasher and the cost model sampling.
         cost_model_pair_sample:
             Number of record pairs the cost model averages over.
-        method:
-            ``"bulk"`` (default) runs the vectorised whole-dataset
-            pipeline of :mod:`repro.core.bulk` — one fingerprint pass,
-            ``np.unique`` frequency counting, bulk signature packing and
-            one staged-batch store append.  ``"per-record"`` is the
-            historical record-at-a-time path, kept verbatim as the
-            benchmark baseline; both produce bitwise-identical indexes.
+
+        Construction runs the vectorised whole-dataset pipeline of
+        :mod:`repro.core.bulk` — one fingerprint pass, ``np.unique``
+        frequency counting, bulk signature packing and one staged-batch
+        store append — and yields, record for record, the sketch
+        :meth:`GBKMVSketch.from_record` builds under the same parameters.
         """
-        cls._check_build_method(method)
-        if method == "per-record":
-            return cls._build_per_record(
-                records,
-                space_fraction=space_fraction,
-                space_budget=space_budget,
-                buffer_size=buffer_size,
-                hasher=hasher,
-                seed=seed,
-                cost_model_pair_sample=cost_model_pair_sample,
-            )
         profile = BuildProfile()
         flat = flatten_records(records, profile=profile)
         params = cls.plan_parameters(
@@ -450,17 +428,26 @@ class GBKMVIndex(SimilarityIndex):
         (and merged search results) bitwise identical to the unsharded
         index.
         """
+        auto_buffer = isinstance(buffer_size, str) and buffer_size == "auto"
+        if not auto_buffer and (
+            isinstance(buffer_size, bool)
+            or not isinstance(buffer_size, (int, np.integer))
+            or buffer_size < 0
+        ):
+            raise ConfigurationError(
+                f"buffer_size must be 'auto' or a non-negative integer, got {buffer_size!r}"
+            )
         if hasher is None:
             hasher = UnitHash(seed=seed)
         budget = resolve_space_budget(
             flat.total_elements, space_fraction, space_budget
         )
 
-        # np.unique over the per-record-distinct fingerprint column *is*
-        # the Counter of the per-record path: each unique fingerprint's
-        # occurrence count equals its containing-record count.
+        # Each unique fingerprint's occurrence count in the
+        # per-record-distinct fingerprint column is its containing-record
+        # count: the element frequencies of Algorithm 1.
         counts = flat.counts
-        if buffer_size == "auto":
+        if auto_buffer:
             # The pair-sampled buffer sizing is the one planning stage that
             # is pure Python + small-array work; time it as its own stage
             # so the profile accounts for the full build wall clock.
@@ -481,8 +468,6 @@ class GBKMVIndex(SimilarityIndex):
             chosen_r = sizing.buffer_size
         else:
             chosen_r = int(buffer_size)
-            if chosen_r < 0:
-                raise ConfigurationError("buffer_size must be non-negative")
 
         vocabulary = select_vocabulary(flat, chosen_r, profile=profile)
         buffer_cost = flat.num_records * vocabulary.size / BITS_PER_SIGNATURE_UNIT
@@ -522,76 +507,7 @@ class GBKMVIndex(SimilarityIndex):
             buffer_size=config.buffer_size,
             seed=config.seed,
             cost_model_pair_sample=config.cost_model_pair_sample,
-            method=config.method,
         )
-
-    @classmethod
-    def _build_per_record(
-        cls,
-        records: Sequence[Iterable[object]],
-        space_fraction: float,
-        space_budget: float | None,
-        buffer_size: int | str,
-        hasher: UnitHash | None,
-        seed: int,
-        cost_model_pair_sample: int,
-    ) -> "GBKMVIndex":
-        """The historical record-at-a-time Algorithm 1 (benchmark baseline).
-
-        Kept verbatim so ``BENCH_bulk_build`` measures the bulk pipeline
-        against the real pre-bulk construction cost, and so the bitwise
-        identity of the two paths stays testable.
-        """
-        materialized = [set(record) for record in records]
-        if not materialized:
-            raise EmptyDatasetError("cannot build an index over an empty dataset")
-        if any(len(record) == 0 for record in materialized):
-            raise ConfigurationError("records must be non-empty sets of elements")
-        if hasher is None:
-            hasher = UnitHash(seed=seed)
-
-        record_sizes = np.array([len(r) for r in materialized], dtype=np.int64)
-        budget = resolve_space_budget(
-            int(record_sizes.sum()), space_fraction, space_budget
-        )
-
-        frequencies: Counter = Counter()
-        for record in materialized:
-            frequencies.update(record)
-
-        if buffer_size == "auto":
-            sizing = choose_buffer_size(
-                record_sizes,
-                np.array(list(frequencies.values()), dtype=np.float64),
-                budget,
-                pair_sample=cost_model_pair_sample,
-                seed=seed,
-            )
-            chosen_r = sizing.buffer_size
-        else:
-            chosen_r = int(buffer_size)
-            if chosen_r < 0:
-                raise ConfigurationError("buffer_size must be non-negative")
-
-        vocabulary = FrequentElementVocabulary.from_frequencies(frequencies, chosen_r)
-        buffer_cost = len(materialized) * vocabulary.size / BITS_PER_SIGNATURE_UNIT
-        residual_budget = max(budget - buffer_cost, 0.0)
-        residual_frequencies = {
-            element: count
-            for element, count in frequencies.items()
-            if element not in vocabulary
-        }
-        threshold = residual_threshold(residual_frequencies, residual_budget, hasher)
-
-        index = cls(
-            vocabulary=vocabulary,
-            threshold=threshold,
-            hasher=hasher,
-            budget=budget,
-        )
-        for record in materialized:
-            index._add_record(record)
-        return index
 
     @classmethod
     def from_parameters(
@@ -601,7 +517,6 @@ class GBKMVIndex(SimilarityIndex):
         threshold: float,
         hasher: UnitHash,
         budget: float,
-        method: str = "bulk",
     ) -> "GBKMVIndex":
         """Sketch a dataset under *pinned* parameters (no cost model).
 
@@ -611,27 +526,14 @@ class GBKMVIndex(SimilarityIndex):
         results — are bitwise identical to what incremental maintenance
         of the original index yields.  Also the baseline the
         ``test_dynamic_store`` benchmark charges for rebuilding from
-        scratch on every batch of insertions; ``method`` picks the bulk
-        pipeline (default) or the historical per-record loop.
+        scratch on every batch of insertions.
         """
-        cls._check_build_method(method)
         index = cls(
             vocabulary=vocabulary, threshold=threshold, hasher=hasher, budget=budget
         )
-        if method == "bulk":
-            profile = BuildProfile()
-            index._ingest_bulk(
-                flatten_records(records, profile=profile), profile=profile
-            )
-            index.last_build_profile = profile
-        else:
-            for record in records:
-                materialized = set(record)
-                if not materialized:
-                    raise ConfigurationError(
-                        "records must be non-empty sets of elements"
-                    )
-                index._add_record(materialized)
+        profile = BuildProfile()
+        index._ingest_bulk(flatten_records(records, profile=profile), profile=profile)
+        index.last_build_profile = profile
         return index
 
     @classmethod
@@ -696,9 +598,10 @@ class GBKMVIndex(SimilarityIndex):
     ) -> np.ndarray:
         """Sketch a flattened batch in bulk and append it in one staged merge.
 
-        Returns the assigned record ids.  Falls back to the per-record
-        path when the vocabulary has an internal fingerprint collision
-        (the one case the bulk membership lookup cannot resolve).
+        Returns the assigned record ids.  Falls back to one
+        :meth:`_add_record` per record when the vocabulary has an
+        internal fingerprint collision (the one case the bulk membership
+        lookup cannot resolve).
         """
         if lookup is None:
             try:
@@ -1117,32 +1020,17 @@ class GBKMVIndex(SimilarityIndex):
         query_sketch = self.query_sketch(query)
         return query_sketch.containment_estimate(self.sketch(record_id))
 
-    def _prepare_query(
-        self, query: Iterable[object], query_size: int | None
-    ) -> _PreparedQuery:
-        """Reduce a query to the arrays the scoring kernels consume."""
-        query_elements = set(query)
-        if not query_elements:
-            raise ConfigurationError("query must contain at least one element")
-        q = len(query_elements) if query_size is None else int(query_size)
-        if q <= 0:
-            raise ConfigurationError("query_size must be positive")
-        mask, kept, residual_size = self._sketch_parts(query_elements)
-        return _PreparedQuery(
-            mask=mask, values=kept, residual_size=residual_size, query_size=q
-        )
-
     def _prepare_workload(
         self,
         queries: Sequence[Iterable[object]],
         query_sizes: Sequence[int] | None,
     ) -> list[_PreparedQuery]:
-        """Prepare a whole workload, batching the residual hashing.
+        """Reduce queries to the arrays the scoring kernels consume.
 
-        Per query this produces exactly what :meth:`_prepare_query` does
-        (hashes are per-element, so hashing all residuals in one call and
-        slicing is value-identical), but the workload pays one
-        ``hash_many`` call instead of one per query.
+        The single query-preparation path of :meth:`search`,
+        :meth:`top_k` and the workload engines.  Hashes are per element,
+        so hashing every query's residual in one ``hash_many`` call and
+        slicing is value-identical to hashing each query on its own.
         """
         masks: list[int] = []
         residuals: list[list[object]] = []
@@ -1230,7 +1118,8 @@ class GBKMVIndex(SimilarityIndex):
         """
         if not 0.0 <= threshold <= 1.0:
             raise ConfigurationError("threshold must be in [0, 1]")
-        prepared = self._prepare_query(query, query_size)
+        sizes = None if query_size is None else [query_size]
+        prepared = self._prepare_workload([query], sizes)[0]
         scores = self._score_prepared(prepared)
         row_ids, alive = self._store.result_view()
         return results_from_scores(
@@ -1243,7 +1132,6 @@ class GBKMVIndex(SimilarityIndex):
         threshold: float,
         query_sizes: Sequence[int] | None = None,
         row_block_size: int | None = None,
-        kernels: str = "fused",
     ) -> list[list[SearchResult]]:
         """Batched Algorithm 2: answer a whole workload in one fused pass.
 
@@ -1274,10 +1162,6 @@ class GBKMVIndex(SimilarityIndex):
             Rows scored per block (default
             :data:`DEFAULT_ROW_BLOCK_SIZE`).  Purely an execution knob:
             results are bitwise identical for every value.
-        kernels:
-            ``"fused"`` (default) or ``"per-query"`` — the latter runs
-            the historical per-query store kernels over a dense
-            ``(B, num_rows)`` matrix, kept as the benchmark baseline.
 
         Returns
         -------
@@ -1288,49 +1172,10 @@ class GBKMVIndex(SimilarityIndex):
             raise ConfigurationError("threshold must be in [0, 1]")
         if query_sizes is not None and len(query_sizes) != len(queries):
             raise ConfigurationError("query_sizes must be parallel to queries")
-        if kernels not in ("fused", "per-query"):
-            raise ConfigurationError(
-                f"unknown kernels mode {kernels!r}; use 'fused' or 'per-query'"
-            )
         prepared = self._prepare_workload(queries, query_sizes)
         if not prepared:
             return []
-        if kernels == "per-query":
-            return self._search_many_per_query_kernels(prepared, threshold)
         return self._search_many_fused(prepared, threshold, row_block_size)
-
-    def _search_many_per_query_kernels(
-        self, prepared: Sequence[_PreparedQuery], threshold: float
-    ) -> list[list[SearchResult]]:
-        """The pre-fusion engine: per-query kernels, dense score matrix.
-
-        Kept verbatim as the benchmark baseline the fused engine is
-        measured (and identity-tested) against.
-        """
-        store = self._store
-        store.finalize()
-        counts = store.intersection_counts_many([p.values for p in prepared])
-        overlaps = store.signature_overlap_many([p.mask for p in prepared])
-        num_values = np.array([[p.values.size] for p in prepared], dtype=np.int64)
-        max_values = np.array([[p.max_value] for p in prepared], dtype=np.float64)
-        exact = np.array([[p.exact] for p in prepared], dtype=bool)
-        residual_estimates = residual_intersection_estimates(
-            counts,
-            store.row_sizes,
-            store.row_max,
-            store.row_exact,
-            num_values,
-            max_values,
-            exact,
-        )
-        scores = overlaps.astype(np.float64) + residual_estimates
-        row_ids, alive = store.result_view()
-        return [
-            results_from_scores(
-                scores[row], threshold, p.query_size, row_ids=row_ids, alive=alive
-            )
-            for row, p in enumerate(prepared)
-        ]
 
     def _workload_arrays(self, prepared: Sequence[_PreparedQuery]):
         """Fused-pass inputs: matched occurrences, packed masks, query columns."""
@@ -1397,11 +1242,11 @@ class GBKMVIndex(SimilarityIndex):
         """Dense scores of every (query, row) pair in one block of rows.
 
         Returns ``(scores, estimator_pairs)``: ``scores`` is the
-        ``(B, block)`` float matrix, bit-identical to the dense engine's
-        slice (popcount overlaps reduced straight into float64 plus the
-        sparse Equation-25 estimates scattered on top), and
-        ``estimator_pairs`` counts the pairs the estimator was actually
-        evaluated on.
+        ``(B, block)`` float matrix, bit-identical to the single-query
+        scores of those rows (popcount overlaps reduced straight into
+        float64 plus the sparse Equation-25 estimates scattered on top),
+        and ``estimator_pairs`` counts the pairs the estimator was
+        actually evaluated on.
         """
         scores = self._store.signature_overlap_block(
             query_words, row_lo, row_hi, dtype=np.float64
@@ -1536,7 +1381,8 @@ class GBKMVIndex(SimilarityIndex):
         """
         if k <= 0:
             raise ConfigurationError("k must be positive")
-        prepared = self._prepare_query(query, query_size)
+        sizes = None if query_size is None else [query_size]
+        prepared = self._prepare_workload([query], sizes)[0]
         scores = self._score_prepared(prepared) / prepared.query_size
         row_ids, alive = self._store.result_view()
         rows = np.arange(scores.size) if alive is None else np.nonzero(alive)[0]

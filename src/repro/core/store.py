@@ -38,15 +38,13 @@ batched query engine is built from: whole-dataset intersection counts
 against a sorted query array (a vectorised merge over the CSR arrays),
 popcount-based signature overlaps, and multi-query variants built on the
 value→record join index that touch only the occurrences a query actually
-shares with the dataset.  The multi-query kernels come in two flavours:
-the historical per-query loops (:meth:`intersection_counts_many`,
-:meth:`signature_overlap_many`, kept as the benchmark baseline) and the
-*fused whole-workload* kernels — :meth:`match_workload` resolves every
-query's values against the join index in one ``searchsorted`` pass, and
-:meth:`intersection_counts_block` / :meth:`signature_overlap_block`
-extract ``(B, block)`` count and overlap matrices for any row range, so
-an engine can sweep a workload over the rows in blocks without ever
-materialising a dense ``(B, num_rows)`` intermediate.  Kernels are
+shares with the dataset.  The multi-query kernels are *fused
+whole-workload* kernels — :meth:`match_workload` resolves every query's
+values against the join index in one ``searchsorted`` pass, and
+:meth:`match_counts_block` / :meth:`signature_overlap_block` extract the
+counts and overlaps of any row range, so an engine can sweep a workload
+over the rows in blocks without ever materialising a dense
+``(B, num_rows)`` intermediate.  Kernels are
 indexed by *physical row*; use :meth:`result_view` (or :attr:`row_ids` /
 :attr:`alive_rows`) to map kernel outputs back to record ids when the
 store has seen deletes.
@@ -110,7 +108,7 @@ class WorkloadMatches:
 
     Produced by :meth:`ColumnarSketchStore.match_workload` in one fused
     pass over the value→record join index; consumed by
-    :meth:`ColumnarSketchStore.intersection_counts_block`, which slices
+    :meth:`ColumnarSketchStore.match_counts_block`, which slices
     the run by physical-row range — ``rows`` is sorted ascending, so a
     block is one ``searchsorted`` pair away.
     """
@@ -139,19 +137,12 @@ class ColumnarSketchStore:
     compact_ratio:
         Tombstoned-row fraction that triggers physical compaction on the
         next :meth:`finalize`, in ``(0, 1]``.
-    incremental_merge:
-        When true (the default), absorbing the tail merges the derived
-        join index with a sorted two-run merge; when false, every absorb
-        drops the derived caches and the next :meth:`finalize` rebuilds
-        them from scratch (the pre-segmented behaviour, kept as the
-        benchmark baseline).
     """
 
     def __init__(
         self,
         signature_bits: int,
         compact_ratio: float = DEFAULT_COMPACT_RATIO,
-        incremental_merge: bool = True,
     ) -> None:
         if signature_bits < 0:
             raise ConfigurationError("signature_bits must be non-negative")
@@ -160,7 +151,6 @@ class ColumnarSketchStore:
         self._signature_bits = int(signature_bits)
         self._num_words = -(-self._signature_bits // BITS_PER_WORD) if signature_bits else 0
         self._compact_ratio = float(compact_ratio)
-        self.incremental_merge = bool(incremental_merge)
 
         # Base segment (sealed columns; row-major CSR + parallel arrays).
         self._values = np.empty(0, dtype=np.float64)
@@ -375,13 +365,12 @@ class ColumnarSketchStore:
     def _absorb_tail(self) -> None:
         """Merge staged tail rows into the base columns.
 
-        With ``incremental_merge`` enabled the derived caches are extended
-        in place: the per-row maxima/exactness columns grow by ``O(S)``
-        and the value→record join index is merged as two sorted runs —
-        sort the ``S`` staged values (``O(S log S)``), then one
-        ``searchsorted`` against the sealed run plus a scatter
-        (``O(T + S)``).  Without it the caches are dropped and the next
-        :meth:`finalize` re-sorts everything (``O(T log T)``).
+        Warm derived caches are extended in place: the per-row
+        maxima/exactness columns grow by ``O(S)`` and the value→record
+        join index is merged as two sorted runs — sort the ``S`` staged
+        values (``O(S log S)``), then one ``searchsorted`` against the
+        sealed run plus a scatter (``O(T + S)``) — instead of a
+        wholesale ``O(T log T)`` re-sort.
         """
         if not self._pending_values:
             return
@@ -427,10 +416,9 @@ class ColumnarSketchStore:
 
         The single home of base-segment growth, shared by the tail absorb
         (one small batch of staged singles) and :meth:`append_bulk` (a
-        whole construction batch): column concatenation plus — under
-        ``incremental_merge`` with warm caches — an ``O(S)`` extension of
-        the per-row maxima/exactness columns and one two-run merge of the
-        value→record join index.
+        whole construction batch): column concatenation plus — with warm
+        caches — an ``O(S)`` extension of the per-row maxima/exactness
+        columns and one two-run merge of the value→record join index.
         """
         base_rows = int(self._record_sizes.size)
         num_new = int(lengths.size)
@@ -445,33 +433,27 @@ class ColumnarSketchStore:
         self._row_ids = np.concatenate([self._row_ids, row_ids])
         self._tombstones = np.concatenate([self._tombstones, dead])
 
-        if self.incremental_merge:
-            if self._row_max is not None:
-                tail_max = np.zeros(num_new, dtype=np.float64)
-                nonempty = lengths > 0
-                last = self._offsets[base_rows + 1 :] - 1
-                tail_max[nonempty] = self._values[last[nonempty]]
-                self._row_max = np.concatenate([self._row_max, tail_max])
-                self._row_exact = np.concatenate(
-                    [self._row_exact, lengths >= residual_sizes]
-                )
-            if self._sorted_values is not None:
-                tail_rows = np.repeat(
-                    np.arange(base_rows, base_rows + num_new, dtype=np.int64),
-                    lengths,
-                )
-                order = np.argsort(flat_values, kind="stable")
-                self._sorted_values, self._sorted_rows = _merge_sorted_runs(
-                    self._sorted_values,
-                    self._sorted_rows,
-                    flat_values[order],
-                    tail_rows[order],
-                )
-        else:
-            self._row_max = None
-            self._row_exact = None
-            self._sorted_values = None
-            self._sorted_rows = None
+        if self._row_max is not None:
+            tail_max = np.zeros(num_new, dtype=np.float64)
+            nonempty = lengths > 0
+            last = self._offsets[base_rows + 1 :] - 1
+            tail_max[nonempty] = self._values[last[nonempty]]
+            self._row_max = np.concatenate([self._row_max, tail_max])
+            self._row_exact = np.concatenate(
+                [self._row_exact, lengths >= residual_sizes]
+            )
+        if self._sorted_values is not None:
+            tail_rows = np.repeat(
+                np.arange(base_rows, base_rows + num_new, dtype=np.int64),
+                lengths,
+            )
+            order = np.argsort(flat_values, kind="stable")
+            self._sorted_values, self._sorted_rows = _merge_sorted_runs(
+                self._sorted_values,
+                self._sorted_rows,
+                flat_values[order],
+                tail_rows[order],
+            )
 
     def finalize(self) -> None:
         """Absorb the tail, compact if due, and ensure the derived caches exist."""
@@ -629,7 +611,6 @@ class ColumnarSketchStore:
         cls,
         arrays: Mapping[str, np.ndarray],
         compact_ratio: float = DEFAULT_COMPACT_RATIO,
-        incremental_merge: bool = True,
     ) -> "ColumnarSketchStore":
         """Rebuild a store from :meth:`state_arrays` output."""
         meta = np.asarray(arrays["store_meta"], dtype=np.int64)
@@ -639,11 +620,7 @@ class ColumnarSketchStore:
                 f"unsupported store snapshot version {version} "
                 f"(this build reads version {SNAPSHOT_VERSION})"
             )
-        store = cls(
-            signature_bits=signature_bits,
-            compact_ratio=compact_ratio,
-            incremental_merge=incremental_merge,
-        )
+        store = cls(signature_bits=signature_bits, compact_ratio=compact_ratio)
         store._values = np.asarray(arrays["values"], dtype=np.float64)
         store._offsets = np.asarray(arrays["offsets"], dtype=np.int64)
         num_rows = int(np.asarray(arrays["record_sizes"]).size)
@@ -926,36 +903,6 @@ class ColumnarSketchStore:
         overlap = np.bitwise_count(self._signatures & query_words[np.newaxis, :])
         return overlap.sum(axis=1, dtype=np.int64)
 
-    def signature_overlap_many(self, masks: Sequence[int]) -> np.ndarray:
-        """``|H_Q ∩ H_X|`` for a whole workload at once, shape ``(B, num_rows)``.
-
-        One popcount pass per query over the packed signature matrix —
-        measurably faster than an unpacked bit-matrix product at
-        realistic workload sizes, and without materialising a 32×-larger
-        per-bit expansion of the signatures.
-        """
-        self.finalize()
-        num_queries = len(masks)
-        overlaps = np.zeros((num_queries, self.num_rows), dtype=np.int64)
-        for row, mask in enumerate(masks):
-            overlaps[row] = self.signature_overlap(mask)
-        return overlaps
-
-    def intersection_counts_many(
-        self, queries_values: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """``|L_Q ∩ L_X|`` for every (query, row) pair, shape ``(B, num_rows)``.
-
-        Per-query loop over :meth:`intersection_counts_join`; kept as the
-        benchmark baseline for the fused :meth:`match_workload` /
-        :meth:`intersection_counts_block` pair.
-        """
-        self.finalize()
-        counts = np.zeros((len(queries_values), self.num_rows), dtype=np.int64)
-        for row, query_values in enumerate(queries_values):
-            counts[row] = self.intersection_counts_join(query_values)
-        return counts
-
     # ------------------------------------------------- fused workload kernels
     def match_workload(self, queries_values: Sequence[np.ndarray]) -> WorkloadMatches:
         """Resolve a whole workload against the value→record join index at once.
@@ -964,7 +911,7 @@ class ColumnarSketchStore:
         a query-id column; a single pair of ``searchsorted`` calls against
         the join index finds every matched occurrence, and the resulting
         (query id, physical row) pairs are returned sorted by row so
-        :meth:`intersection_counts_block` can slice any row range without
+        :meth:`match_counts_block` can slice any row range without
         rescanning.  No per-query Python iteration anywhere.
         """
         self.finalize()
@@ -974,38 +921,6 @@ class ColumnarSketchStore:
         )
         return WorkloadMatches(len(queries_values), match_rows, match_qids)
 
-    def intersection_counts_block(
-        self,
-        matches: WorkloadMatches,
-        row_lo: int = 0,
-        row_hi: int | None = None,
-    ) -> np.ndarray:
-        """``(B, block)`` intersection counts for physical rows ``[row_lo, row_hi)``.
-
-        One flat ``bincount`` over the row-range slice of the matched
-        pairs; with ``row_hi - row_lo`` bounded, peak memory for a whole
-        workload sweep is ``O(B × block)`` regardless of ``num_rows``.
-        Counts are bit-identical to :meth:`intersection_counts_join` per
-        query (both count the same matched occurrences).
-        """
-        if row_hi is None:
-            row_hi = self.num_rows
-        block = row_hi - row_lo
-        lo = int(np.searchsorted(matches.rows, row_lo, side="left"))
-        hi = int(np.searchsorted(matches.rows, row_hi, side="left"))
-        if hi == lo:
-            return np.zeros((matches.num_queries, block), dtype=np.int64)
-        flat = matches.query_ids[lo:hi] * block + (matches.rows[lo:hi] - row_lo)
-        counts = np.bincount(flat, minlength=matches.num_queries * block)
-        return counts.reshape(matches.num_queries, block).astype(np.int64, copy=False)
-
-    def intersection_counts_fused(
-        self, queries_values: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """Fused ``(B, num_rows)`` counts: :meth:`match_workload` + one block."""
-        self.finalize()
-        return self.intersection_counts_block(self.match_workload(queries_values))
-
     def match_counts_block(
         self,
         matches: WorkloadMatches,
@@ -1014,9 +929,10 @@ class ColumnarSketchStore:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sparse intersection counts for rows ``[row_lo, row_hi)``.
 
-        The COO form of :meth:`intersection_counts_block`: returns
-        ``(query_ids, columns, counts)`` for exactly the (query, row)
-        pairs with a nonzero count — columns are block-relative.  Cost is
+        Returns ``(query_ids, columns, counts)`` for exactly the (query,
+        row) pairs with a nonzero count — columns are block-relative.
+        Counts are bit-identical to :meth:`intersection_counts_join` per
+        query (both count the same matched occurrences).  Cost is
         ``O(matches in range)``; nothing dense is touched, which is what
         lets the engine skip zero-count pairs before the estimator pass.
         """

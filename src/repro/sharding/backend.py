@@ -136,7 +136,6 @@ class ShardedIndex(SimilarityIndex):
             config.inner_backend,
             config.inner_config,
             build_workers=config.build_workers,
-            build_executor=config.build_executor,
             profile=profile,
         )
         index = cls(

@@ -1,16 +1,10 @@
-"""Order-preserving executor fan-out over shards (threads or processes).
+"""Order-preserving thread-pool fan-out over shards.
 
-A thread pool (the default) is the right executor for both search and
-build: every per-shard kernel bottoms out in numpy ufuncs and BLAS-free
-array reductions that release the GIL, so shards genuinely run in
-parallel on multi-core machines, while the shard indexes themselves stay
-plain shared-memory objects — no pickling, no copies.
-
-``kind="process"`` swaps in a :class:`~concurrent.futures.ProcessPoolExecutor`
-for workloads whose Python-level overhead does not release the GIL.  It
-demands more of the callable — ``fn`` and every item must be picklable
-(module-level functions over plain arrays, not closures over index
-objects) — so only the build pipeline's pure array stages opt into it.
+A thread pool is the right executor for both search and build: every
+per-shard kernel bottoms out in numpy ufuncs and BLAS-free array
+reductions that release the GIL, so shards genuinely run in parallel on
+multi-core machines, while the shard indexes themselves stay plain
+shared-memory objects — no pickling, no copies.
 
 The pool is created lazily and sized ``min(max_workers or cpu_count,
 num_shards)``; single-worker configurations (or single-item fan-outs)
@@ -23,7 +17,7 @@ pin the pool at 4 workers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro._errors import ConfigurationError
@@ -31,41 +25,23 @@ from repro._errors import ConfigurationError
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
-#: Executor kinds :class:`ShardExecutor` accepts.
-EXECUTOR_KINDS = ("thread", "process")
-
 
 class ShardExecutor:
     """Fan a callable across shard-parallel work items, preserving order."""
 
-    def __init__(
-        self,
-        num_shards: int,
-        max_workers: int | None = None,
-        kind: str = "thread",
-    ) -> None:
+    def __init__(self, num_shards: int, max_workers: int | None = None) -> None:
         if int(num_shards) < 1:
             raise ConfigurationError("num_shards must be at least 1")
         if max_workers is not None and int(max_workers) < 1:
             raise ConfigurationError("max_workers must be at least 1")
-        if kind not in EXECUTOR_KINDS:
-            raise ConfigurationError(
-                f"unknown executor kind {kind!r}; use 'thread' or 'process'"
-            )
         limit = (os.cpu_count() or 1) if max_workers is None else int(max_workers)
         self._workers = max(1, min(limit, int(num_shards)))
-        self._kind = kind
-        self._pool: Executor | None = None
+        self._pool: ThreadPoolExecutor | None = None
 
     @property
     def workers(self) -> int:
         """Resolved pool width (1 means every fan-out runs inline)."""
         return self._workers
-
-    @property
-    def kind(self) -> str:
-        """``"thread"`` or ``"process"``."""
-        return self._kind
 
     def map(
         self,
@@ -82,12 +58,9 @@ class ShardExecutor:
         if self._workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         if self._pool is None:
-            if self._kind == "process":
-                self._pool = ProcessPoolExecutor(max_workers=self._workers)
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers, thread_name_prefix="repro-shard"
-                )
+            self._pool = ThreadPoolExecutor(
+                max_workers=self._workers, thread_name_prefix="repro-shard"
+            )
         return list(self._pool.map(fn, items))
 
     def close(self) -> None:

@@ -1,17 +1,22 @@
-"""Bulk construction pipeline: bitwise identity with the per-record path.
+"""Bulk construction pipeline: bitwise identity with the scalar sketches.
 
 The contract of the bulk builder is absolute: for any dataset the
-vectorised pipeline must produce *exactly* the index the record-at-a-time
-path produces — same vocabulary, same threshold, same store state arrays,
-same ``search_many`` output — and ``insert_many`` must be
-indistinguishable from looping ``insert``.  These tests pin that contract
-on the dataset shapes that exercise every branch: power-law data,
-duplicate elements within a record, singleton records, all-buffer and
-all-residual records, string elements, and batched ingest on stores that
-have already seen deletes.
+vectorised pipeline must produce *exactly* what Algorithm 1 produces
+record at a time — the vocabulary and threshold planned from a
+``Counter`` of element frequencies, and for every record the sketch
+:meth:`GBKMVSketch.from_record` builds under those parameters, value for
+value and mask for mask — and ``insert_many`` must be indistinguishable
+from looping ``insert``.  These tests pin that contract on the dataset
+shapes that exercise every branch: power-law data, duplicate elements
+within a record, singleton records, all-buffer and all-residual records,
+string elements, and batched ingest on stores that have already seen
+deletes.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,11 +28,16 @@ from repro.core import (
     FingerprintCollisionError,
     FrequentElementVocabulary,
     GBKMVIndex,
+    GBKMVSketch,
+    KMVSketch,
     bulk_kmv_value_rows,
     flatten_records,
     slice_flat_records,
     vocabulary_lookup,
 )
+from repro.core.buffer import BITS_PER_SIGNATURE_UNIT
+from repro.core.bulk import resolve_space_budget
+from repro.core.cost_model import choose_buffer_size, residual_threshold
 from repro.datasets import generate_zipf_dataset, sample_queries
 from repro.hashing import UnitHash
 
@@ -44,6 +54,84 @@ def powerlaw_records(num_records: int = 400, seed: int = 3) -> list[list[int]]:
         max_record_size=50,
         seed=seed,
     )
+
+
+@dataclass(frozen=True)
+class ReferencePlan:
+    """Algorithm 1's global parameters, derived the textbook way."""
+
+    vocabulary: FrequentElementVocabulary
+    threshold: float
+    hasher: UnitHash
+    budget: float
+
+
+def reference_plan(
+    records,
+    space_fraction: float = 0.10,
+    buffer_size: int | str = "auto",
+    seed: int = 0,
+    cost_model_pair_sample: int = 256,
+) -> ReferencePlan:
+    """Plan from a ``Counter`` of element frequencies, record at a time."""
+    materialized = [set(record) for record in records]
+    hasher = UnitHash(seed=seed)
+    record_sizes = np.array([len(record) for record in materialized], dtype=np.int64)
+    budget = resolve_space_budget(int(record_sizes.sum()), space_fraction, None)
+    frequencies: Counter = Counter()
+    for record in materialized:
+        frequencies.update(record)
+    if buffer_size == "auto":
+        buffer_size = choose_buffer_size(
+            record_sizes,
+            np.array(list(frequencies.values()), dtype=np.float64),
+            budget,
+            pair_sample=cost_model_pair_sample,
+            seed=seed,
+        ).buffer_size
+    vocabulary = FrequentElementVocabulary.from_frequencies(frequencies, buffer_size)
+    buffer_cost = len(materialized) * vocabulary.size / BITS_PER_SIGNATURE_UNIT
+    residual_frequencies = {
+        element: count
+        for element, count in frequencies.items()
+        if element not in vocabulary
+    }
+    threshold = residual_threshold(
+        residual_frequencies, max(budget - buffer_cost, 0.0), hasher
+    )
+    return ReferencePlan(vocabulary, threshold, hasher, budget)
+
+
+def per_record_index(records, plan: ReferencePlan) -> GBKMVIndex:
+    """An index grown one ``insert`` at a time under pinned parameters."""
+    index = GBKMVIndex(
+        vocabulary=plan.vocabulary,
+        threshold=plan.threshold,
+        hasher=plan.hasher,
+        budget=plan.budget,
+    )
+    for record in records:
+        index.insert(record)
+    return index
+
+
+def assert_matches_plan(index: GBKMVIndex, records, plan: ReferencePlan) -> None:
+    """Record ``i`` of ``index`` is exactly ``GBKMVSketch.from_record(records[i])``."""
+    assert index.vocabulary == plan.vocabulary
+    assert index.threshold == plan.threshold
+    assert index.num_records == len(records)
+    for record_id, record in enumerate(records):
+        expected = GBKMVSketch.from_record(
+            record,
+            vocabulary=plan.vocabulary,
+            threshold=plan.threshold,
+            hasher=plan.hasher,
+        )
+        actual = index.sketch(record_id)
+        assert actual.buffer.mask == expected.buffer.mask, record_id
+        assert np.array_equal(actual.residual.values, expected.residual.values), record_id
+        assert actual.residual.record_size == expected.residual.record_size, record_id
+        assert actual.record_size == expected.record_size, record_id
 
 
 def assert_same_index(bulk: GBKMVIndex, reference: GBKMVIndex, queries) -> None:
@@ -86,61 +174,47 @@ class TestBuildIdentity:
         records = powerlaw_records()
         queries, _ = sample_queries(records, num_queries=12, seed=9)
         bulk = GBKMVIndex.build(records, space_fraction=space_fraction)
-        reference = GBKMVIndex.build(
-            records, space_fraction=space_fraction, method="per-record"
-        )
-        assert_same_index(bulk, reference, queries)
+        plan = reference_plan(records, space_fraction=space_fraction)
+        assert_matches_plan(bulk, records, plan)
+        assert_same_index(bulk, per_record_index(records, plan), queries)
 
     def test_duplicate_elements_within_records(self):
         records = [[1, 1, 1, 2], [2, 2, 3, 3, 3], [4, 4, 4, 4]]
         bulk = GBKMVIndex.build(records, space_fraction=0.5)
-        reference = GBKMVIndex.build(records, space_fraction=0.5, method="per-record")
-        assert_same_index(bulk, reference, records)
+        assert_matches_plan(bulk, records, reference_plan(records, space_fraction=0.5))
 
     def test_singleton_records(self):
         records = [[5], [6], [5], [7]]
         bulk = GBKMVIndex.build(records, space_fraction=0.5)
-        reference = GBKMVIndex.build(records, space_fraction=0.5, method="per-record")
-        assert_same_index(bulk, reference, records)
+        assert_matches_plan(bulk, records, reference_plan(records, space_fraction=0.5))
 
     def test_all_buffer_records(self):
         # Buffer wide enough for the whole universe: residuals are empty.
         records = [[1, 2], [2, 3], [1, 3], [1, 2, 3]]
         bulk = GBKMVIndex.build(records, space_fraction=1.0, buffer_size=3)
-        reference = GBKMVIndex.build(
-            records, space_fraction=1.0, buffer_size=3, method="per-record"
-        )
         assert bulk.buffer_size == 3
         assert bulk.store.total_values == 0
-        assert_same_index(bulk, reference, records)
+        assert_matches_plan(
+            bulk, records, reference_plan(records, space_fraction=1.0, buffer_size=3)
+        )
 
     def test_all_residual_records(self):
         records = powerlaw_records(num_records=120)
         bulk = GBKMVIndex.build(records, space_fraction=0.2, buffer_size=0)
-        reference = GBKMVIndex.build(
-            records, space_fraction=0.2, buffer_size=0, method="per-record"
-        )
         assert bulk.buffer_size == 0
-        assert_same_index(bulk, reference, records[:10])
+        assert_matches_plan(
+            bulk, records, reference_plan(records, space_fraction=0.2, buffer_size=0)
+        )
 
     def test_string_elements(self):
         records = [[f"tok{e}" for e in record] for record in powerlaw_records(150)]
-        queries, _ = sample_queries(records, num_queries=8, seed=5)
         bulk = GBKMVIndex.build(records, space_fraction=0.15)
-        reference = GBKMVIndex.build(
-            records, space_fraction=0.15, method="per-record"
-        )
-        assert_same_index(bulk, reference, queries)
+        assert_matches_plan(bulk, records, reference_plan(records, space_fraction=0.15))
 
     def test_negative_and_large_int_elements(self):
         records = [[-5, -4, 3], [3, 2**63 + 7, -4], [-5, 2**63 + 7, 11]]
         bulk = GBKMVIndex.build(records, space_fraction=1.0)
-        reference = GBKMVIndex.build(records, space_fraction=1.0, method="per-record")
-        assert_same_index(bulk, reference, records)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GBKMVIndex.build([[1, 2]], method="turbo")
+        assert_matches_plan(bulk, records, reference_plan(records, space_fraction=1.0))
 
     def test_ndarray_records_match_list_records(self):
         # Integer ndarray records take the no-Python concatenate fast
@@ -161,10 +235,9 @@ class TestBuildIdentity:
         ]
         reference = [[-5, -4, 3], [3, 2**63 + 7], [11, 2**63 + 7]]
         bulk = GBKMVIndex.build(records, space_fraction=1.0)
-        expected = GBKMVIndex.build(
-            reference, space_fraction=1.0, method="per-record"
+        assert_matches_plan(
+            bulk, reference, reference_plan(reference, space_fraction=1.0)
         )
-        assert_same_index(bulk, expected, reference)
 
     def test_generator_records_match_lists(self):
         lists = powerlaw_records(num_records=80)
@@ -177,24 +250,16 @@ class TestBuildIdentity:
 class TestFromParametersIdentity:
     def test_pinned_rebuild_matches(self):
         records = powerlaw_records()
-        queries, _ = sample_queries(records, num_queries=10, seed=11)
         built = GBKMVIndex.build(records, space_fraction=0.1)
-        bulk = GBKMVIndex.from_parameters(
+        rebuilt = GBKMVIndex.from_parameters(
             records,
             vocabulary=built.vocabulary,
             threshold=built.threshold,
             hasher=built.hasher,
             budget=built.budget,
         )
-        reference = GBKMVIndex.from_parameters(
-            records,
-            vocabulary=built.vocabulary,
-            threshold=built.threshold,
-            hasher=built.hasher,
-            budget=built.budget,
-            method="per-record",
-        )
-        assert_same_index(bulk, reference, queries)
+        plan = ReferencePlan(built.vocabulary, built.threshold, built.hasher, built.budget)
+        assert_matches_plan(rebuilt, records, plan)
 
     def test_vocabulary_fingerprint_collision_falls_back(self):
         # "a" and b"a" are distinct Python objects with equal FNV
@@ -208,15 +273,7 @@ class TestFromParametersIdentity:
         bulk = GBKMVIndex.from_parameters(
             records, vocabulary=vocabulary, threshold=0.9, hasher=hasher, budget=10.0
         )
-        reference = GBKMVIndex.from_parameters(
-            records,
-            vocabulary=vocabulary,
-            threshold=0.9,
-            hasher=hasher,
-            budget=10.0,
-            method="per-record",
-        )
-        assert_same_index(bulk, reference, [["a", "x"]])
+        assert_matches_plan(bulk, records, ReferencePlan(vocabulary, 0.9, hasher, 10.0))
 
 
 class TestInsertMany:
@@ -273,18 +330,14 @@ class TestInsertMany:
 class TestKMVBaselineBulk:
     def test_build_identity(self):
         records = powerlaw_records(num_records=200)
-        queries, _ = sample_queries(records, num_queries=10, seed=7)
         bulk = KMVSearchIndex.build(records, space_fraction=0.1)
-        reference = KMVSearchIndex.build(
-            records, space_fraction=0.1, method="per-record"
-        )
-        assert bulk.k_per_record == reference.k_per_record
-        assert len(bulk._value_rows) == len(reference._value_rows)
-        for bulk_row, reference_row in zip(bulk._value_rows, reference._value_rows):
-            assert np.array_equal(bulk_row, reference_row)
-        assert bulk.search_many(queries, THRESHOLD) == reference.search_many(
-            queries, THRESHOLD
-        )
+        total = sum(len(set(record)) for record in records)
+        k = max(int(resolve_space_budget(total, 0.1, None) // len(records)), 1)
+        assert bulk.k_per_record == k
+        assert len(bulk._value_rows) == len(records)
+        hasher = UnitHash(seed=0)
+        for row, record in zip(bulk._value_rows, records):
+            assert np.array_equal(row, KMVSketch.from_record(record, k, hasher).values)
 
     def test_insert_many_matches_looped_insert(self):
         records = powerlaw_records(num_records=150)
@@ -310,17 +363,10 @@ class TestKMVBaselineBulk:
 
     def test_gkmv_baseline_bulk_matches(self):
         records = powerlaw_records(num_records=120)
-        queries, _ = sample_queries(records, num_queries=6, seed=29)
         bulk = GKMVSearchIndex.build(records, space_fraction=0.1)
-        reference = GKMVSearchIndex.build(
-            records, space_fraction=0.1, method="per-record"
-        )
         bulk.insert_many(records[:5])
-        for record in records[:5]:
-            reference.insert(record)
-        assert bulk.search_many(queries, THRESHOLD) == reference.search_many(
-            queries, THRESHOLD
-        )
+        plan = reference_plan(records, space_fraction=0.1, buffer_size=0)
+        assert_matches_plan(bulk.inner, records + records[:5], plan)
 
 
 class TestStoreBulkAppend:
@@ -510,8 +556,8 @@ class TestBuildProfile:
 
     def test_per_record_build_has_no_profile(self):
         records = powerlaw_records(num_records=50)
-        index = GBKMVIndex.build(
-            records, space_fraction=0.15, method="per-record"
+        index = per_record_index(
+            records, reference_plan(records, space_fraction=0.15)
         )
         assert index.last_build_profile is None
         assert index.statistics().build_profile is None

@@ -14,6 +14,7 @@ import pytest
 from repro._errors import ConfigurationError
 from repro.baselines import KMVSearchIndex
 from repro.core import DEFAULT_ROW_BLOCK_SIZE, GBKMVIndex
+from repro.core.index import results_from_scores
 from repro.core.store import ColumnarSketchStore
 from repro.datasets import sample_queries
 
@@ -34,6 +35,27 @@ def _store_with_rows(rows, signature_bits=8):
         )
     store.finalize()
     return store
+
+
+def _stacked_join_counts(store, queries):
+    """Per-query reference: one ``intersection_counts_join`` row per query."""
+    rows = [store.intersection_counts_join(query) for query in queries]
+    return np.array(rows, dtype=np.int64).reshape(len(queries), store.num_rows)
+
+
+def _stacked_overlaps(store, masks):
+    """Per-query reference: one ``signature_overlap`` row per mask."""
+    rows = [store.signature_overlap(mask) for mask in masks]
+    return np.array(rows, dtype=np.int64).reshape(len(masks), store.num_rows)
+
+
+def _dense_block_counts(store, matches, row_lo=0, row_hi=None):
+    """``match_counts_block``'s sparse counts scattered into a dense block."""
+    row_hi = store.num_rows if row_hi is None else row_hi
+    dense = np.zeros((matches.num_queries, row_hi - row_lo), dtype=np.int64)
+    query_ids, columns, counts = store.match_counts_block(matches, row_lo, row_hi)
+    dense[query_ids, columns] = counts
+    return dense
 
 
 @pytest.fixture
@@ -64,31 +86,31 @@ class TestStoreFusedKernels:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_fused_counts_match_per_query_kernels(self, small_store, name):
         queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS[name]]
-        fused = small_store.intersection_counts_fused(queries)
-        looped = small_store.intersection_counts_many(queries)
+        matches = small_store.match_workload(queries)
+        fused = _dense_block_counts(small_store, matches)
+        looped = _stacked_join_counts(small_store, queries)
         assert np.array_equal(fused, looped)
 
     @pytest.mark.parametrize("block", [1, 2, 5, 7])
     def test_blocked_counts_match_whole_pass(self, small_store, block):
         queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS["plain"]]
         matches = small_store.match_workload(queries)
-        whole = small_store.intersection_counts_fused(queries)
         num_rows = small_store.num_rows
         assembled = np.concatenate(
             [
-                small_store.intersection_counts_block(
-                    matches, lo, min(lo + block, num_rows)
+                _dense_block_counts(
+                    small_store, matches, lo, min(lo + block, num_rows)
                 )
                 for lo in range(0, num_rows, block)
             ],
             axis=1,
         )
-        assert np.array_equal(assembled, whole)
+        assert np.array_equal(assembled, _stacked_join_counts(small_store, queries))
 
     def test_sparse_counts_match_dense_block(self, small_store):
         queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS["plain"]]
         matches = small_store.match_workload(queries)
-        dense = small_store.intersection_counts_block(matches, 1, 4)
+        dense = _stacked_join_counts(small_store, queries)[:, 1:4]
         query_ids, columns, counts = small_store.match_counts_block(matches, 1, 4)
         rebuilt = np.zeros_like(dense)
         rebuilt[query_ids, columns] = counts
@@ -99,7 +121,7 @@ class TestStoreFusedKernels:
         masks = [0b101, 0b0, 0b111, 0b010]
         words = small_store.pack_signature_masks(masks)
         fused = small_store.signature_overlap_block(words)
-        looped = small_store.signature_overlap_many(masks)
+        looped = _stacked_overlaps(small_store, masks)
         assert np.array_equal(fused, looped)
         # float accumulation must be exact for popcount-sized integers
         as_float = small_store.signature_overlap_block(words, dtype=np.float64)
@@ -128,7 +150,7 @@ class TestStoreFusedKernels:
         words = store.pack_signature_masks(masks)
         assert words.shape == (3, 2)
         assert np.array_equal(
-            store.signature_overlap_block(words), store.signature_overlap_many(masks)
+            store.signature_overlap_block(words), _stacked_overlaps(store, masks)
         )
 
     def test_zero_signature_bits(self):
@@ -145,7 +167,7 @@ class TestStoreFusedKernels:
         store = _store_with_rows([], signature_bits=4)
         matches = store.match_workload([np.array([0.25])])
         assert matches.num_matches == 0
-        assert store.intersection_counts_block(matches).shape == (1, 0)
+        assert _dense_block_counts(store, matches).shape == (1, 0)
 
 
 @pytest.fixture(scope="module")
@@ -155,19 +177,41 @@ def engine_setup(zipf_records):
     return index, list(queries)
 
 
+@pytest.fixture(scope="module")
+def scalar_scores(engine_setup):
+    """Every (query, record) estimate through the scalar sketch objects."""
+    index, queries = engine_setup
+    scores = []
+    for query in queries:
+        query_sketch = index.query_sketch(query)
+        scores.append(
+            np.array(
+                [
+                    query_sketch.intersection_size_estimate(index.sketch(record_id))
+                    for record_id in range(index.num_records)
+                ],
+                dtype=np.float64,
+            )
+        )
+    return scores
+
+
 class TestFusedEngineIdentity:
-    """Index-level: fused search_many == per-query kernels == looped search."""
+    """Index-level: fused search_many == scalar sketches == looped search."""
 
     @pytest.mark.parametrize("block", [1, 17, 400, 10_000, None])
     @pytest.mark.parametrize("threshold", [0.0, 0.4, 1.0])
-    def test_block_size_sweep(self, engine_setup, threshold, block):
+    def test_block_size_sweep(self, engine_setup, scalar_scores, threshold, block):
         # 400 records: blocks smaller than, equal to and larger than num_rows.
         index, queries = engine_setup
         looped = [index.search(query, threshold) for query in queries]
         fused = index.search_many(queries, threshold, row_block_size=block)
-        per_query = index.search_many(queries, threshold, kernels="per-query")
+        scalar = [
+            results_from_scores(scores, threshold, len(set(query)))
+            for scores, query in zip(scalar_scores, queries)
+        ]
         assert _as_pairs(fused) == _as_pairs(looped)
-        assert _as_pairs(per_query) == _as_pairs(looped)
+        assert _as_pairs(fused) == _as_pairs(scalar)
 
     def test_single_query_workload(self, engine_setup):
         index, queries = engine_setup
@@ -194,7 +238,7 @@ class TestFusedEngineIdentity:
         index = GBKMVIndex.build(zipf_records[:100], space_fraction=0.1, buffer_size=8)
         buffer_query = list(index.vocabulary.elements)[:4]
         assert buffer_query
-        assert index._prepare_query(buffer_query, None).values.size == 0
+        assert index._prepare_workload([buffer_query], None)[0].values.size == 0
         workload = [buffer_query, list(zipf_records[0]), buffer_query]
         for threshold in (0.0, 0.2):
             fused = index.search_many(workload, threshold, row_block_size=16)
@@ -223,11 +267,6 @@ class TestFusedEngineIdentity:
         for block in (13, 200, 500):
             fused = index.search_many(queries, 0.3, row_block_size=block)
             assert _as_pairs(fused) == _as_pairs(looped)
-
-    def test_invalid_kernels_mode_rejected(self, engine_setup):
-        index, queries = engine_setup
-        with pytest.raises(ConfigurationError):
-            index.search_many(queries[:1], 0.5, kernels="warp")
 
     def test_invalid_row_block_size_rejected(self, engine_setup):
         index, queries = engine_setup

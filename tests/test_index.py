@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro._errors import ConfigurationError, EmptyDatasetError
+from repro.api import GBKMVConfig
 from repro.core import GBKMVIndex, GBKMVSketch
 from repro.exact import BruteForceSearcher
 
@@ -39,6 +40,20 @@ class TestBuild:
     def test_negative_buffer_size_rejected(self, tiny_records):
         with pytest.raises(ConfigurationError):
             GBKMVIndex.build(tiny_records, buffer_size=-1)
+
+    @pytest.mark.parametrize(
+        "buffer_size", [2.5, "AUTO", "2", None, True, np.float64(2.0), np.int64(-1)]
+    )
+    def test_invalid_buffer_size_rejected(self, tiny_records, buffer_size):
+        with pytest.raises(ConfigurationError, match="buffer_size"):
+            GBKMVIndex.build(tiny_records, buffer_size=buffer_size)
+        with pytest.raises(ConfigurationError, match="buffer_size"):
+            GBKMVIndex.from_records(tiny_records, GBKMVConfig(buffer_size=buffer_size))
+
+    @pytest.mark.parametrize("buffer_size", [2, np.int64(2), np.uint8(2)])
+    def test_integer_buffer_size_accepted(self, tiny_records, buffer_size):
+        index = GBKMVIndex.build(tiny_records, space_fraction=1.0, buffer_size=buffer_size)
+        assert index.buffer_size == 2
 
     def test_auto_buffer_size_is_used_by_default(self, zipf_records):
         index = GBKMVIndex.build(zipf_records, space_fraction=0.1)

@@ -522,41 +522,6 @@ def test_parallel_build_identical_to_serial(inner_backend, num_shards):
         parallel.close()
 
 
-@pytest.mark.parametrize("inner_backend", ["gbkmv", "kmv"])
-def test_process_pool_build_identical_to_serial(inner_backend):
-    records = _dataset(num_records=120)
-    queries = _queries()
-    serial = create_index(
-        "sharded",
-        records,
-        ShardedConfig(
-            num_shards=4,
-            inner_backend=inner_backend,
-            inner_config=_INNER_CONFIGS[inner_backend],
-            build_workers=1,
-        ),
-    )
-    process = create_index(
-        "sharded",
-        records,
-        ShardedConfig(
-            num_shards=4,
-            inner_backend=inner_backend,
-            inner_config=_INNER_CONFIGS[inner_backend],
-            build_workers=2,
-            build_executor="process",
-        ),
-    )
-    try:
-        assert_identical_shard_states(serial, process)
-        assert_identical_workload(
-            serial.search_many(queries, 0.5), process.search_many(queries, 0.5)
-        )
-    finally:
-        serial.close()
-        process.close()
-
-
 def test_parallel_build_identical_to_unsharded_gbkmv():
     records = _dataset()
     queries = _queries()
@@ -602,15 +567,6 @@ def test_build_profile_rows_sum_to_dataset_size():
         index.close()
 
 
-def test_invalid_build_executor_rejected():
-    with pytest.raises(ConfigurationError, match="executor kind"):
-        create_index(
-            "sharded",
-            _dataset(num_records=20),
-            ShardedConfig(num_shards=2, build_executor="fiber"),
-        )
-
-
 # ------------------------------------------------------- executor
 def test_executor_runs_inline_on_one_worker():
     executor = ShardExecutor(4, max_workers=1)
@@ -637,7 +593,3 @@ def test_executor_caps_workers_at_shard_count():
     assert executor.workers == 2
     executor.close()
 
-
-def test_executor_rejects_unknown_kind():
-    with pytest.raises(ConfigurationError, match="executor kind"):
-        ShardExecutor(2, kind="fiber")

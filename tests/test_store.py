@@ -153,23 +153,6 @@ class TestIncrementalMerge:
             ]
             assert store.intersection_counts_join(query).tolist() == expected
 
-    def test_rebuild_mode_matches_incremental(self):
-        rng = np.random.default_rng(31)
-        rows = _random_rows(rng, 30)
-        merged = ColumnarSketchStore(signature_bits=0, incremental_merge=True)
-        resorted = ColumnarSketchStore(signature_bits=0, incremental_merge=False)
-        for store in (merged, resorted):
-            for values, mask, residual, size in rows[:20]:
-                store.append(values, mask, residual, size)
-            store.finalize()
-            for values, mask, residual, size in rows[20:]:
-                store.append(values, mask, residual, size)
-        query = np.unique(np.concatenate([rows[25][0], rng.random(5)]))
-        assert (
-            merged.intersection_counts_join(query).tolist()
-            == resorted.intersection_counts_join(query).tolist()
-        )
-
 
 class TestDeletes:
     def test_delete_tombstones_without_moving_rows(self):
@@ -370,7 +353,7 @@ class TestKernels:
         rows = [([], mask, 0, 1) for mask in masks]
         store = _store_with_rows(rows, signature_bits=width)
         query_masks = [int(rng.integers(0, 2**63)), (1 << 69) | 0b1, 0]
-        many = store.signature_overlap_many(query_masks)
+        many = store.signature_overlap_block(store.pack_signature_masks(query_masks))
         for row, query_mask in enumerate(query_masks):
             assert many[row].tolist() == store.signature_overlap(query_mask).tolist()
 
@@ -382,7 +365,11 @@ class TestKernels:
             rows.append((values, 0, values.size, values.size))
         store = _store_with_rows(rows, signature_bits=0)
         queries = [np.unique(rng.random(6)), rows[3][0], np.empty(0)]
-        many = store.intersection_counts_many(queries)
+        many = np.zeros((len(queries), store.num_rows), dtype=np.int64)
+        query_ids, columns, counts = store.match_counts_block(
+            store.match_workload(queries)
+        )
+        many[query_ids, columns] = counts
         for row, query in enumerate(queries):
             assert many[row].tolist() == store.intersection_counts(query).tolist()
 
@@ -390,7 +377,8 @@ class TestKernels:
         store = ColumnarSketchStore(signature_bits=4)
         assert store.intersection_counts(np.array([0.5])).size == 0
         assert store.signature_overlap(0b1).size == 0
-        assert store.signature_overlap_many([0b1]).shape == (1, 0)
+        words = store.pack_signature_masks([0b1])
+        assert store.signature_overlap_block(words).shape == (1, 0)
 
 
 class TestThresholdForValueBudget:
